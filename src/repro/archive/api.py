@@ -229,25 +229,49 @@ class Archive:
             faults=faults,
             time_budget=time_budget,
         )
-        transport = getattr(run, "transport", None)
         plan_dict = None
         if faults is not None:
             plan = getattr(faults, "plan", faults)
             to_dict = getattr(plan, "to_dict", None)
             plan_dict = to_dict() if to_dict is not None else None
+        return self.record_result(
+            spec, run, size, num_threads, seed, params=base, plan=plan_dict
+        )
+
+    def record_result(
+        self,
+        spec: PropertySpec,
+        run,
+        size: int,
+        threads: int,
+        seed: int,
+        params: Optional[dict] = None,
+        events: Optional[Sequence[Event]] = None,
+        plan: Optional[dict] = None,
+        manifest: Optional[dict] = None,
+    ) -> ArchivedRun:
+        """Archive a finished run of ``spec`` (see :meth:`record`).
+
+        ``params`` defaults to the spec's defaults; ``events`` overrides
+        the run's own stream (a fault-damaged trace read back from disk).
+        """
+        transport = getattr(run, "transport", None)
         return self.record(
             program=spec.name,
-            events=run.events,
+            events=run.events if events is None else events,
             final_time=run.final_time,
             paradigm=spec.paradigm,
-            params=params_to_jsonable(base),
+            params=params_to_jsonable(
+                spec.default_params if params is None else params
+            ),
             size=size,
-            threads=num_threads,
+            threads=threads,
             seed=seed,
-            plan=plan_dict,
+            plan=plan,
             eager_threshold=(
                 transport.eager_threshold if transport is not None else None
             ),
+            manifest=manifest,
         )
 
     # ------------------------------------------------------------------

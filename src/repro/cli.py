@@ -166,9 +166,6 @@ def _add_run_options(parser: argparse.ArgumentParser) -> None:
 
 
 def _add_supervision_options(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--supervise", action="store_true",
-                        help="run each sweep cell under the resilience "
-                        "supervisor (implied by the flags below)")
     parser.add_argument("--timeout", type=float, default=None,
                         metavar="SECONDS",
                         help="wall-clock limit per cell; timed-out cells "
@@ -211,7 +208,7 @@ def _workers_of(args) -> int:
 
 
 def _make_supervisor(args):
-    """Build the Supervisor the flags ask for, or None for direct mode."""
+    """Build the Supervisor every sweep cell runs under."""
     from .resilience import CheckpointError, Supervisor
 
     checkpoint = args.checkpoint
@@ -227,15 +224,6 @@ def _make_supervisor(args):
             )
     if args.retries < 0:
         raise CliError("--retries must be >= 0")
-    wanted = (
-        args.supervise
-        or checkpoint is not None
-        or args.timeout is not None
-        or args.retries > 0
-        or args.failures_out is not None
-    )
-    if not wanted:
-        return None
     try:
         return Supervisor(
             timeout=args.timeout,
@@ -248,20 +236,13 @@ def _make_supervisor(args):
 
 
 def _emit_failures(args, supervisor) -> None:
-    """Print/write the quarantine report of a supervised sweep."""
-    if supervisor is None:
-        return
+    """Print/write the quarantine report of a sweep."""
     report = supervisor.failure_report()
     if report.failures:
         print(report.format_table())
-    if args.failures_out is not None:
-        text = report.to_json_str()
-        if args.failures_out == "-":
-            sys.stdout.write(text)
-        else:
-            with open(args.failures_out, "w", encoding="utf-8") as fh:
-                fh.write(text)
-            print(f"failure report written to {args.failures_out}")
+    _write_json_artifact(
+        args.failures_out, report.to_json_str(), "failure report"
+    )
     supervisor.close()
 
 
@@ -571,14 +552,9 @@ def cmd_robustness(args: argparse.Namespace) -> int:
     print(result.format_table())
     if args.archive is not None:
         print(f"runs archived in {args.archive}")
-    if args.json is not None:
-        text = result.to_json_str()
-        if args.json == "-":
-            sys.stdout.write(text)
-        else:
-            with open(args.json, "w", encoding="utf-8") as fh:
-                fh.write(text)
-            print(f"robustness curves written to {args.json}")
+    _write_json_artifact(
+        args.json, result.to_json_str(), "robustness curves"
+    )
     _emit_failures(args, supervisor)
     return 0
 

@@ -13,8 +13,11 @@ Three cooperating pieces:
   interrupted sweep resumes instead of restarting.
 
 :func:`run_cells_forked` (:mod:`repro.resilience.forked`) lifts the
-whole cell lifecycle onto the fork-per-cell executor for true multicore
-sweeps with identical journals and artifacts.
+whole cell lifecycle onto the fork-per-cell executor, and
+:func:`run_grid` (:mod:`repro.resilience.grid`) is the one grid
+executor every sweep -- validation matrix, robustness, synthesized
+campaign -- runs its cells on, serial or forked, with identical
+journals and artifacts.
 """
 
 from .checkpoint import (
@@ -23,6 +26,7 @@ from .checkpoint import (
     coerce_journal,
 )
 from .forked import run_cells_forked
+from .grid import run_grid
 from .supervisor import (
     FAILURE_KINDS,
     PROGRESS_EVENTS,
@@ -47,4 +51,5 @@ __all__ = [
     "classify_failure",
     "coerce_journal",
     "run_cells_forked",
+    "run_grid",
 ]

@@ -19,6 +19,7 @@ from __future__ import annotations
 import json
 import os
 import sys
+from dataclasses import fields
 from pathlib import Path
 from typing import Dict, Optional, Union
 
@@ -223,3 +224,36 @@ def coerce_journal(
     if checkpoint is None or isinstance(checkpoint, CheckpointJournal):
         return checkpoint
     return CheckpointJournal(checkpoint)
+
+
+def record_to_dict(record) -> dict:
+    """A dataclass as a journal payload.
+
+    Keys follow field declaration order, tuples become lists and nested
+    objects their ``to_dict()``, so the payload serializes exactly like
+    a hand-written ``to_dict``.
+    """
+    out = {}
+    for f in fields(record):
+        value = getattr(record, f.name)
+        if isinstance(value, tuple):
+            value = list(value)
+        elif hasattr(value, "to_dict"):
+            value = value.to_dict()
+        out[f.name] = value
+    return out
+
+
+def record_from_dict(cls, payload: dict, **decoded):
+    """Inverse of :func:`record_to_dict`.
+
+    Lists become tuples, absent keys take the field defaults, and
+    ``decoded`` supplies fields rebuilt by the caller (nested objects).
+    """
+    for f in fields(cls):
+        if f.name in payload and f.name not in decoded:
+            value = payload[f.name]
+            decoded[f.name] = (
+                tuple(value) if isinstance(value, list) else value
+            )
+    return cls(**decoded)

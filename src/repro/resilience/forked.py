@@ -109,7 +109,6 @@ def run_cells_forked(
     cells: Iterable[Tuple[str, Callable[[], Any]]],
     workers: int,
     supervisor: Optional[Supervisor] = None,
-    decode: Optional[Callable[[dict], Any]] = None,
     extras_fn: Optional[Callable[[], Any]] = None,
     on_extras: Optional[Callable[[str, Any], None]] = None,
     echo_output: bool = True,
@@ -117,12 +116,13 @@ def run_cells_forked(
     """Run ``(key, fn)`` cells in forked children; submission-order results.
 
     Cell callables must return JSON-serializable values (they cross a
-    pipe).  With a ``supervisor``, journaled cells are replayed instead
-    of re-run, fresh outcomes are journaled as each child completes,
-    transient failures are retried with the supervisor's deterministic
-    backoff, and persistent ones are quarantined -- all with the exact
-    payloads the serial path writes.  Without one, cells run once with
-    no timeout and failures simply come back as failed outcomes.
+    pipe), and successful outcomes carry those values as returned.
+    Journaled cells are replayed instead of re-run, fresh outcomes are
+    journaled as each child completes, transient failures are retried
+    with the supervisor's deterministic backoff, and persistent ones
+    are quarantined -- all with the exact payloads the serial path
+    writes.  ``supervisor=None`` means ``Supervisor()``: one attempt,
+    no timeout, no journal.
 
     ``extras_fn`` runs inside each child after its cell;
     ``on_extras(key, value)`` receives what it returned, in the parent,
@@ -131,20 +131,19 @@ def run_cells_forked(
     on the parent's stdout in completion order.
     """
     cells = list(cells)
+    if supervisor is None:
+        supervisor = Supervisor()
     results: dict = {}
     pending: List[Tuple[str, Callable[[], Any], int]] = []
     for key, fn in cells:
-        if supervisor is not None:
-            cached = supervisor.replay(key, decode)
-            if cached is not None:
-                results[key] = cached
-                continue
-        pending.append((key, fn, 1))
+        cached = supervisor.replay(key)
+        if cached is not None:
+            results[key] = cached
+        else:
+            pending.append((key, fn, 1))
 
-    timeout = supervisor.timeout if supervisor is not None else None
-    retries = supervisor.retries if supervisor is not None else 0
-    transient = supervisor.transient if supervisor is not None else ()
-    metrics = supervisor._metrics if supervisor is not None else None
+    timeout = supervisor.timeout
+    metrics = supervisor._metrics
 
     while pending:
         batch = pending
@@ -166,9 +165,8 @@ def run_cells_forked(
             outcome = _to_outcome(key, attempt, out, timeout)
             if (
                 not outcome.ok
-                and supervisor is not None
-                and outcome.failure.kind in transient
-                and attempt <= retries
+                and outcome.failure.kind in supervisor.transient
+                and attempt <= supervisor.retries
             ):
                 delay = supervisor.backoff_delay(key, attempt)
                 if metrics is not None:
@@ -181,13 +179,10 @@ def run_cells_forked(
                 retry_delay = max(retry_delay, delay)
                 pending.append((key, fn, attempt + 1))
                 return
-            if supervisor is not None:
-                supervisor.finalize(outcome)
-            results[key] = outcome
+            results[key] = supervisor.finalize(outcome)
 
-        if supervisor is not None:
-            for key, _fn, attempt in batch:
-                supervisor._emit("cell-started", key, attempt=attempt)
+        for key, _fn, attempt in batch:
+            supervisor._emit("cell-started", key, attempt=attempt)
         run_forked_tasks(
             [_child_cell(fn) for _key, fn, _attempt in batch],
             workers=workers,
@@ -195,7 +190,7 @@ def run_cells_forked(
             extras_fn=extras_fn,
             on_outcome=handle,
         )
-        if pending and retry_delay > 0.0 and supervisor is not None:
+        if pending and retry_delay > 0.0:
             # One consolidated pause covering the round's longest
             # backoff; per-cell delays still feed the metrics above.
             supervisor._sleep(retry_delay)

@@ -54,7 +54,12 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 from ..obs.instruments import resilience_metrics
 from ..simkernel.errors import DeadlockError, HangError
 from ..simkernel.rng import Lcg64
-from .checkpoint import CheckpointJournal, coerce_journal
+from .checkpoint import (
+    CheckpointJournal,
+    coerce_journal,
+    record_from_dict,
+    record_to_dict,
+)
 
 #: the failure taxonomy, in rough order of diagnosability
 FAILURE_KINDS = ("deadlock", "hang", "timeout", "trace-corrupt", "crash")
@@ -108,23 +113,11 @@ class CellFailure:
     report: Optional[dict] = None
 
     def to_dict(self) -> dict:
-        return {
-            "key": self.key,
-            "kind": self.kind,
-            "error": self.error,
-            "attempts": self.attempts,
-            "report": self.report,
-        }
+        return record_to_dict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "CellFailure":
-        return cls(
-            key=d["key"],
-            kind=d["kind"],
-            error=d["error"],
-            attempts=d["attempts"],
-            report=d.get("report"),
-        )
+        return record_from_dict(cls, d)
 
 
 @dataclass
@@ -284,10 +277,31 @@ class Supervisor:
         Replayed failures re-enter :attr:`failures`, exactly as if the
         cell had just been quarantined.
         """
-        cached = self._done.get(key)
-        if cached is None:
+        payload = self._done.get(key)
+        if payload is None:
             return None
-        return self._replay(key, cached, decode)
+        m = self._metrics
+        if m is not None:
+            m.cells.labels(status="resumed").inc()
+        self._emit("cell-resumed", key, status=payload["status"])
+        if payload["status"] == "ok":
+            cell = payload["cell"]
+            return CellOutcome(
+                key=key,
+                status="ok",
+                value=decode(cell) if decode is not None else cell,
+                attempts=payload.get("attempts", 1),
+                from_checkpoint=True,
+            )
+        failure = CellFailure.from_dict(payload["failure"])
+        self.failures.append(failure)
+        return CellOutcome(
+            key=key,
+            status="failed",
+            failure=failure,
+            attempts=failure.attempts,
+            from_checkpoint=True,
+        )
 
     def finalize(
         self,
@@ -318,35 +332,6 @@ class Supervisor:
         if self._metrics is not None:
             self._metrics.cells.labels(status=outcome.status).inc()
         return outcome
-
-    def _replay(
-        self,
-        key: str,
-        payload: dict,
-        decode: Optional[Callable[[dict], Any]],
-    ) -> CellOutcome:
-        m = self._metrics
-        if m is not None:
-            m.cells.labels(status="resumed").inc()
-        self._emit("cell-resumed", key, status=payload["status"])
-        if payload["status"] == "ok":
-            cell = payload["cell"]
-            return CellOutcome(
-                key=key,
-                status="ok",
-                value=decode(cell) if decode is not None else cell,
-                attempts=payload.get("attempts", 1),
-                from_checkpoint=True,
-            )
-        failure = CellFailure.from_dict(payload["failure"])
-        self.failures.append(failure)
-        return CellOutcome(
-            key=key,
-            status="failed",
-            failure=failure,
-            attempts=failure.attempts,
-            from_checkpoint=True,
-        )
 
     def _execute(self, key: str, fn: Callable[[], Any]) -> CellOutcome:
         attempt = 0

@@ -42,8 +42,9 @@ import sys
 import threading
 import time
 from collections import OrderedDict, deque
+from contextlib import contextmanager
 from pathlib import Path
-from typing import Any, Dict, Optional, Tuple, Union
+from typing import Any, Callable, Dict, Optional, Tuple, Union
 
 from ..archive import Archive, ArchiveError, CacheStats
 from ..archive.fingerprint import detector_set_fingerprint
@@ -93,6 +94,38 @@ class ServiceDraining(Exception):
 def _span(name: str, t0: float, t1: float, **args: Any) -> None:
     if spans_enabled():
         span_log().record(name, "service", t0, t1, args)
+
+
+#: Per-kind admission: ``(breaker cell key from the raw submitted
+#: params, name of the submit-time resolver)``.  A resolver stores the
+#: resolved inputs in ``params`` and returns the coalesce key (None:
+#: never coalesces).  Deterministic simulation makes a crash a property
+#: of the cell, not of the moment, so breaker keys name what would
+#: recompute (program/size/seed, archived run, synth spec), never tenant
+#: or request; kinds without one key on the kind alone.
+_KINDS: Dict[str, Tuple[Optional[Callable[[dict], str]], str]] = {
+    "run": (
+        lambda p: (
+            f"run:{p.get('property')}:{p.get('size', 8)}"
+            f":{p.get('threads', 4)}:{p.get('seed', 0)}"
+        ),
+        "_resolve_run",
+    ),
+    "analyze": (lambda p: f"analyze:{p.get('run')}", "_resolve_analyze"),
+    "diff": (
+        lambda p: f"diff:{p.get('before')}:{p.get('after')}",
+        "_resolve_diff",
+    ),
+    "synth": (
+        lambda p: "synth:{}".format(
+            p["spec"].get("name") if isinstance(p.get("spec"), dict)
+            else None
+        ),
+        "_resolve_synth",
+    ),
+    "campaign": (None, "_resolve_campaign"),
+    "export": (None, "_resolve_export"),
+}
 
 
 class AnalysisService:
@@ -269,28 +302,9 @@ class AnalysisService:
             metrics.queue_depth.set(len(self._queue))
 
     def _cell_key(self, kind: str, params: Dict[str, Any]) -> str:
-        """The executor-cell identity the circuit breaker trips on.
-
-        Deterministic simulation means a crash is a property of the
-        cell, not of the moment -- so eviction keys on what would
-        recompute (program/size/seed, archived run, synth spec), not
-        on tenant or request.
-        """
-        if kind == "run":
-            return (
-                f"run:{params.get('property')}"
-                f":{params.get('size', 8)}:{params.get('threads', 4)}"
-                f":{params.get('seed', 0)}"
-            )
-        if kind == "analyze":
-            return f"analyze:{params.get('run')}"
-        if kind == "diff":
-            return f"diff:{params.get('before')}:{params.get('after')}"
-        if kind == "synth":
-            spec = params.get("spec")
-            name = spec.get("name") if isinstance(spec, dict) else None
-            return f"synth:{name}"
-        return kind
+        """The executor-cell identity the circuit breaker trips on."""
+        cell = _KINDS.get(kind, (None, None))[0]
+        return kind if cell is None else cell(params)
 
     def _on_breaker_transition(self, key: str, state: str) -> None:
         metrics = service_metrics()
@@ -320,50 +334,14 @@ class AnalysisService:
     def _coalesce_key(
         self, kind: str, params: Dict[str, Any]
     ) -> Optional[Tuple]:
-        """Derive the dedup key; resolves archive refs as a side effect.
+        """Resolve a submission's inputs into ``params``; its dedup key.
 
         Unknown refs surface here, at submit time, as
         :class:`JobError` -- a 404 the client gets immediately rather
         than a failed job it would have to poll for.
         """
-        if kind == "analyze":
-            record = self._resolve_ref(params.get("run"))
-            params["_record"] = record
-            return (
-                "analyze",
-                record["trace_digest"],
-                detector_set_fingerprint(_default_detectors()),
-            )
-        if kind == "diff":
-            before = self._resolve_ref(params.get("before"), "before")
-            after = self._resolve_ref(params.get("after"), "after")
-            params["_before"] = before
-            params["_after"] = after
-            return (
-                "diff",
-                before["trace_digest"],
-                after["trace_digest"],
-                detector_set_fingerprint(_default_detectors()),
-                float(params.get("threshold", self.threshold)),
-            )
-        if kind == "run":
-            spec, run_kwargs = self._resolve_run_params(params)
-            params["_spec"] = spec
-            params["_kwargs"] = run_kwargs
-            return (
-                "run",
-                spec.name,
-                run_kwargs["size"],
-                run_kwargs["num_threads"],
-                run_kwargs["seed"],
-            )
-        if kind == "campaign":
-            params["_specs"] = self._resolve_campaign_specs(params)
-        if kind == "synth":
-            params["_campaign"] = self._resolve_synth_spec(params)
-        if kind == "export":
-            params["_runs"] = self._resolve_export_runs(params)
-        return None
+        resolver = _KINDS.get(kind, (None, None))[1]
+        return None if resolver is None else getattr(self, resolver)(params)
 
     def _resolve_ref(self, ref, label: str = "run") -> dict:
         if not ref or not isinstance(ref, str):
@@ -373,7 +351,29 @@ class AnalysisService:
         except ArchiveError as exc:
             raise JobError(str(exc)) from None
 
-    def _resolve_run_params(self, params: Dict[str, Any]):
+    def _resolve_analyze(self, params: Dict[str, Any]) -> Tuple:
+        record = self._resolve_ref(params.get("run"))
+        params["_record"] = record
+        return (
+            "analyze",
+            record["trace_digest"],
+            detector_set_fingerprint(_default_detectors()),
+        )
+
+    def _resolve_diff(self, params: Dict[str, Any]) -> Tuple:
+        before = self._resolve_ref(params.get("before"), "before")
+        after = self._resolve_ref(params.get("after"), "after")
+        params["_before"] = before
+        params["_after"] = after
+        return (
+            "diff",
+            before["trace_digest"],
+            after["trace_digest"],
+            detector_set_fingerprint(_default_detectors()),
+            float(params.get("threshold", self.threshold)),
+        )
+
+    def _resolve_run(self, params: Dict[str, Any]) -> Tuple:
         from ..core import get_property
 
         name = params.get("property")
@@ -393,25 +393,30 @@ class AnalysisService:
         scale = params.get("severity_scale")
         if scale is not None:
             run_kwargs["severity_scale"] = float(scale)
-        return spec, run_kwargs
+        params["_spec"] = spec
+        params["_kwargs"] = run_kwargs
+        return (
+            "run",
+            spec.name,
+            run_kwargs["size"],
+            run_kwargs["num_threads"],
+            run_kwargs["seed"],
+        )
 
-    def _resolve_campaign_specs(self, params: Dict[str, Any]):
+    def _resolve_campaign(self, params: Dict[str, Any]) -> None:
         from ..core import get_property, list_properties
 
-        names = params.get("properties")
-        if not names:
-            return list_properties()
         specs = []
-        for name in names:
+        for name in params.get("properties") or ():
             try:
                 specs.append(get_property(name))
             except KeyError:
                 raise JobError(
                     f"unknown property function {name!r}"
                 ) from None
-        return specs
+        params["_specs"] = specs or list_properties()
 
-    def _resolve_synth_spec(self, params: Dict[str, Any]):
+    def _resolve_synth(self, params: Dict[str, Any]) -> None:
         from ..synth import CampaignSpec, SynthError
 
         spec = params.get("spec")
@@ -420,11 +425,11 @@ class AnalysisService:
                 "synth jobs need a 'spec' object (a CampaignSpec dict)"
             )
         try:
-            return CampaignSpec.from_dict(spec)
+            params["_campaign"] = CampaignSpec.from_dict(spec)
         except SynthError as exc:
             raise JobError(str(exc)) from None
 
-    def _resolve_export_runs(self, params: Dict[str, Any]):
+    def _resolve_export(self, params: Dict[str, Any]) -> None:
         """Resolve an export job's run filter at submit time.
 
         ``runs`` is an optional list of archive run refs (id prefixes);
@@ -432,11 +437,12 @@ class AnalysisService:
         job.  ``None`` means export every labeled run in the archive.
         """
         refs = params.get("runs")
+        params["_runs"] = None
         if not refs:
-            return None
+            return
         if not isinstance(refs, list):
             raise JobError("'runs' must be a list of run references")
-        records = []
+        params["_runs"] = records = []
         for ref in refs:
             if not ref or not isinstance(ref, str):
                 raise JobError("'runs' entries must be run references")
@@ -444,7 +450,6 @@ class AnalysisService:
                 records.append(self.archive.resolve(ref))
             except ArchiveError as exc:
                 raise JobError(str(exc)) from None
-        return records
 
     # ------------------------------------------------------------------
     # execution
@@ -636,53 +641,55 @@ class AnalysisService:
             ],
         }
 
-    def _job_campaign(self, job: Job) -> dict:
-        from ..resilience import Supervisor
-        from ..validation import run_validation_matrix
+    @contextmanager
+    def _supervised(self, job: Job, retries: int = 0):
+        """The supervisor a campaign/synth job's cells run under.
 
-        specs = job.params["_specs"]
-        progress: CampaignProgress = job.params["_progress"]
+        It reports live progress, checkpoints per job id (so a
+        recovered job resumes its cells), and is held under the
+        simulation lock for the job's duration.
+        """
+        from ..resilience import Supervisor
+
         supervisor = Supervisor(
             timeout=job.params.get("timeout"),
-            retries=int(job.params.get("retries", 0)),
-            on_event=progress.on_event,
+            retries=int(job.params.get("retries", retries)),
+            on_event=job.params["_progress"].on_event,
             checkpoint=self._checkpoint_path(job),
         )
         try:
             with self._sim_lock:
-                matrix = run_validation_matrix(
-                    specs,
-                    size=int(job.params.get("size", 8)),
-                    num_threads=int(job.params.get("threads", 4)),
-                    seed=int(job.params.get("seed", 0)),
-                    supervisor=supervisor,
-                    archive=self.archive,
-                )
+                yield supervisor
         finally:
             supervisor.close()
+
+    def _job_campaign(self, job: Job) -> dict:
+        from ..validation import run_validation_matrix
+
+        with self._supervised(job) as supervisor:
+            matrix = run_validation_matrix(
+                job.params["_specs"],
+                size=int(job.params.get("size", 8)),
+                num_threads=int(job.params.get("threads", 4)),
+                seed=int(job.params.get("seed", 0)),
+                supervisor=supervisor,
+                archive=self.archive,
+            )
         return {
             "rows": [row.to_dict() for row in matrix.rows],
             "all_passed": matrix.all_passed,
             "positive_detection_rate": matrix.positive_detection_rate,
             "false_positive_rate": matrix.false_positive_rate,
-            "progress": progress.snapshot(),
+            "progress": job.params["_progress"].snapshot(),
         }
 
     def _job_synth(self, job: Job) -> dict:
-        from ..resilience import Supervisor
         from ..synth import CampaignError, run_campaign, score_result
 
         spec = job.params["_campaign"]
-        progress: CampaignProgress = job.params["_progress"]
-        supervisor = Supervisor(
-            timeout=job.params.get("timeout"),
-            retries=int(job.params.get("retries", spec.max_retries)),
-            on_event=progress.on_event,
-            checkpoint=self._checkpoint_path(job),
-        )
         aborted = None
-        try:
-            with self._sim_lock:
+        with self._supervised(job, spec.max_retries) as supervisor:
+            try:
                 result = run_campaign(
                     spec,
                     threshold=float(
@@ -691,17 +698,14 @@ class AnalysisService:
                     supervisor=supervisor,
                     archive=self.archive,
                 )
-        except CampaignError as exc:
-            result = exc.result
-            aborted = str(exc)
-        finally:
-            supervisor.close()
-        score = score_result(result)
+            except CampaignError as exc:
+                result = exc.result
+                aborted = str(exc)
         return {
             "campaign": result.to_json_dict(),
-            "score": score.to_json_dict(),
+            "score": score_result(result).to_json_dict(),
             "aborted": aborted,
-            "progress": progress.snapshot(),
+            "progress": job.params["_progress"].snapshot(),
         }
 
     def _job_export(self, job: Job) -> dict:
@@ -952,3 +956,4 @@ def _default_detectors():
     from ..analysis import DEFAULT_DETECTORS
 
     return DEFAULT_DETECTORS
+

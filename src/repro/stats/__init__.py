@@ -15,7 +15,7 @@ dataset export format.
 
 from __future__ import annotations
 
-from typing import Dict, Sequence, Tuple
+from typing import Dict, Iterable, Sequence, Set, Tuple
 
 from .dataset import (
     DATASET_FORMAT,
@@ -104,6 +104,38 @@ def parse_families(text: str) -> Tuple[str, ...]:
     return names
 
 
+def graded_sets(
+    expected: Iterable[str],
+    allowed: Iterable[str],
+    pathological: bool,
+    families: Sequence[str],
+) -> Tuple[Set[str], Set[str]]:
+    """The ``(expected, tolerated)`` property ids one cell is graded on.
+
+    Ground truth names analyzer properties only; with the
+    ``"similarity"`` family enabled the statistical ids are graded
+    through the class taxonomy (:func:`statistical_expectations`).
+    Every statistical id whose covered classes intersect the ground
+    truth becomes expected.  On pathological programs the remaining
+    statistical ids are tolerated -- an anomaly flag on a run that is
+    pathological by construction is correct at the family's
+    granularity -- while clean programs tolerate none, so false alarms
+    stay visible.
+
+    Lives here rather than beside :func:`statistical_expectations`:
+    any edit to ``detector.py`` changes the statistical detectors'
+    cache fingerprints.
+    """
+    expected = set(expected)
+    allowed = set(allowed)
+    if "similarity" in families:
+        obliged = set(statistical_expectations(expected))
+        if pathological:
+            allowed |= set(SIMILARITY_PROPERTY_IDS) - obliged
+        expected |= obliged
+    return expected, allowed
+
+
 __all__ = [
     "BASE_FEATURES",
     "DATASET_FORMAT",
@@ -129,6 +161,7 @@ __all__ = [
     "euclidean",
     "feature_cell_key",
     "features_for_run",
+    "graded_sets",
     "kmedoids",
     "manhattan",
     "pairwise_distances",

@@ -1,13 +1,16 @@
-"""Campaign execution on the supervised sweep engine.
+"""Campaign execution, and the noisy cell body campaigns share with
+robustness sweeps.
 
-Each scenario cell runs the same pipeline as the robustness harness: a
-seed-deterministic simulated run under the scaled noise plan, an
-optional trace-fault round trip through the salvaging reader, analysis,
-and a verdict against the scenario's ground-truth manifest.  Cells run
-serially, under a :class:`repro.resilience.Supervisor` (wall-clock
-timeout / retry / quarantine / checkpoint resume), or fanned out over
-forked workers -- results are assembled in scenario order, so the
-campaign JSON is byte-identical across all three modes.
+:func:`run_noisy_cell` is the one cell body: a seed-deterministic
+simulated run under the scaled noise plan, an optional trace-fault
+round trip through the salvaging reader, archiving, and analysis.
+Robustness sweeps grade its output against the registry; campaigns
+grade it against each scenario's ground-truth manifest.  Cells run on
+the grid executor (:func:`repro.resilience.run_grid`) under a
+:class:`repro.resilience.Supervisor` (wall-clock timeout / retry /
+quarantine / checkpoint resume), serially or fanned out over forked
+workers -- results are assembled in scenario order, so the campaign
+JSON is byte-identical across executors.
 
 The adversarial strategy loops here: after the base sample, each
 refinement round ranks cells by disagreement (missing + spurious
@@ -21,10 +24,11 @@ import json
 import tempfile
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import List, Optional, Sequence, Tuple
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 from ..analysis import AnalysisConfig, analyze_events, analyze_run
 from ..faults import FaultInjector
+from ..resilience.checkpoint import record_from_dict, record_to_dict
 from ..trace.io import read_trace, write_trace
 from .generate import adversarial_rng, generate_scenarios, mutate_scenario
 from .scenario import GroundTruthManifest, Scenario
@@ -59,30 +63,15 @@ class ScenarioCell:
         return len(self.missing) + len(self.spurious)
 
     def to_dict(self) -> dict:
-        return {
-            "scenario": self.scenario.to_dict(),
-            "manifest": self.manifest.to_dict(),
-            "detected": list(self.detected),
-            "missing": list(self.missing),
-            "spurious": list(self.spurious),
-            "events": self.events,
-            "run_id": self.run_id,
-            "error": self.error,
-            "salvaged": self.salvaged,
-        }
+        return record_to_dict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "ScenarioCell":
-        return cls(
+        return record_from_dict(
+            cls,
+            d,
             scenario=Scenario.from_dict(d["scenario"]),
             manifest=GroundTruthManifest.from_dict(d["manifest"]),
-            detected=tuple(d["detected"]),
-            missing=tuple(d["missing"]),
-            spurious=tuple(d["spurious"]),
-            events=d["events"],
-            run_id=d.get("run_id"),
-            error=d.get("error"),
-            salvaged=d.get("salvaged", False),
         )
 
 
@@ -95,27 +84,14 @@ def _build_cell(
     salvaged: bool = False,
     families: Tuple[str, ...] = ("rule",),
 ) -> ScenarioCell:
+    from ..stats import graded_sets
+
     manifest = scenario.manifest()
     detected = tuple(detected)
-    expected = set(manifest.expected)
-    allowed = set(manifest.allowed)
-    if "similarity" in families:
-        # Manifests name analyzer properties only; the statistical
-        # family is graded through the class taxonomy.  Obliged
-        # statistical ids become expected; on pathological scenarios
-        # the rest are tolerated (a statistical anomaly flag on a
-        # scenario that injects a pathology is correct at the family's
-        # granularity), while clean scenarios tolerate none, so false
-        # alarms stay visible in ``spurious``.
-        from ..stats import (
-            SIMILARITY_PROPERTY_IDS,
-            statistical_expectations,
-        )
-
-        obliged = set(statistical_expectations(expected))
-        if expected:
-            allowed |= set(SIMILARITY_PROPERTY_IDS) - obliged
-        expected |= obliged
+    expected, allowed = graded_sets(
+        manifest.expected, manifest.allowed, bool(manifest.expected),
+        families,
+    )
     return ScenarioCell(
         scenario=scenario,
         manifest=manifest,
@@ -142,151 +118,90 @@ def cell_key(scenario: Scenario) -> str:
     )
 
 
-def _run_scenario_checked(
-    scenario: Scenario,
-    spec: CampaignSpec,
-    threshold: float,
-    workdir: Path,
+class NoisyCell(NamedTuple):
+    """What :func:`run_noisy_cell` observed, before grading."""
+
+    detected: Tuple[str, ...]
+    events: int
+    #: archive run id when archiving, else None
+    run_id: Optional[str]
+    #: the trace-fault round trip cut the trace short
+    salvaged: bool
+
+
+def run_noisy_cell(
+    pspec,
+    size: int,
+    threads: int,
+    seed: int,
+    plan,
+    magnitude: float,
+    trace_path: Path,
+    families: Tuple[str, ...] = ("rule",),
+    threshold: float = 0.01,
     time_budget: Optional[float] = None,
     archive=None,
-    families: Tuple[str, ...] = ("rule",),
-) -> ScenarioCell:
-    """One cell, raising on failure (the supervisor's entry point).
+    manifest: Optional[dict] = None,
+) -> NoisyCell:
+    """Run one program the way a tool meets a noisy run; raises on failure.
 
-    Mirrors the robustness pipeline; additionally the archived record
-    carries the scenario's ground-truth manifest, so ``ats diff`` and
-    the scorer can grade detectors against synthesized truth straight
-    from the archive.
+    Simulates ``pspec`` with ``plan`` scaled to ``magnitude``.  When
+    the scaled plan carries trace faults, the trace round-trips through
+    the fault-injecting writer (at ``trace_path``) and the salvaging
+    reader, so the analyzer sees what landed on disk.  With an
+    ``archive``, those events are recorded under the scaled plan,
+    carrying ``manifest`` when given.  Finally the ``families`` battery
+    analyzes them.
     """
     from ..stats import battery_for
 
     detectors = battery_for(families)
-    pspec = scenario.build_spec()
-    manifest = scenario.manifest()
-    manifest.validate()
-    scaled = spec.noise.plan.scaled(scenario.noise_magnitude)
-    injector = FaultInjector.coerce(scaled, seed=scenario.seed)
-
-    def _archive(events, final_time, transport) -> Optional[str]:
-        if archive is None:
-            return None
-        record = archive.record(
-            program=scenario.name,
-            events=events,
-            final_time=final_time,
-            paradigm=pspec.paradigm,
-            params={},
-            size=scenario.size,
-            threads=scenario.threads,
-            seed=scenario.seed,
-            plan=dict(
-                scaled.to_dict(), magnitude=scenario.noise_magnitude
-            ),
-            eager_threshold=(
-                transport.eager_threshold
-                if transport is not None
-                else None
-            ),
-            manifest=manifest.to_dict(),
-        )
-        return record.run_id
-
+    scaled = plan.scaled(magnitude)
+    injector = FaultInjector.coerce(scaled, seed=seed)
     run = pspec.run(
-        size=scenario.size,
-        num_threads=scenario.threads,
-        seed=scenario.seed,
+        size=size,
+        num_threads=threads,
+        seed=seed,
         faults=injector,
         time_budget=time_budget,
     )
     transport = getattr(run, "transport", None)
-    if injector is None or not injector.has_trace_faults:
-        run_id = _archive(run.events, run.final_time, transport)
-        analysis = analyze_run(run, detectors=detectors)
-        return _build_cell(
-            scenario,
-            detected=analysis.detected(threshold),
-            events=len(run.events),
-            run_id=run_id,
-            families=families,
+    trace_faults = injector is not None and injector.has_trace_faults
+    events, salvaged = run.events, False
+    if trace_faults:
+        write_trace(
+            trace_path,
+            run.events,
+            metadata={"program": pspec.name, "seed": seed},
+            faults=injector,
         )
-    # Trace faults: round-trip through the fault-injecting writer and
-    # the salvaging reader -- the analyzer sees what landed on disk.
-    path = workdir / (
-        f"synth-{scenario.index:05d}-s{scenario.seed}.trace.jsonl"
-    )
-    write_trace(
-        path,
-        run.events,
-        metadata={"program": scenario.name, "seed": scenario.seed},
-        faults=injector,
-    )
-    events, metadata = read_trace(path, skip_bad_lines=True, salvage=True)
-    run_id = _archive(events, run.final_time, transport)
-    config = (
-        AnalysisConfig(eager_threshold=transport.eager_threshold)
-        if transport is not None
-        else None
-    )
-    analysis = analyze_events(
-        events,
-        total_time=run.final_time,
-        config=config,
-        detectors=detectors,
-    )
-    return _build_cell(
-        scenario,
-        detected=analysis.detected(threshold),
-        events=len(events),
-        run_id=run_id,
-        salvaged=bool(metadata.get("truncated")),
-        families=families,
-    )
-
-
-def _run_scenario(
-    scenario: Scenario,
-    spec: CampaignSpec,
-    threshold: float,
-    workdir: Path,
-    time_budget: Optional[float] = None,
-    archive=None,
-    families: Tuple[str, ...] = ("rule",),
-) -> ScenarioCell:
-    """One cell with failures folded into the cell (direct mode)."""
-    try:
-        return _run_scenario_checked(
-            scenario,
-            spec,
-            threshold,
-            workdir,
-            time_budget,
-            archive,
-            families,
+        events, metadata = read_trace(
+            trace_path, skip_bad_lines=True, salvage=True
         )
-    except Exception as exc:
-        return _build_cell(
-            scenario,
-            error=f"{type(exc).__name__}: {exc}",
-            families=families,
-        )
-
-
-def _forked_cell(
-    runner,
-    scenario: Scenario,
-    spec: CampaignSpec,
-    threshold: float,
-    workdir: Path,
-    time_budget: Optional[float],
-    archive,
-    families: Tuple[str, ...],
-) -> dict:
-    """Child-side cell body (deferred archive manifests, dict result)."""
+        salvaged = bool(metadata.get("truncated"))
+    run_id = None
     if archive is not None:
-        archive.store.begin_deferred()
-    return runner(
-        scenario, spec, threshold, workdir, time_budget, archive, families
-    ).to_dict()
+        run_id = archive.record_result(
+            pspec, run, size, threads, seed, events=events,
+            plan=dict(scaled.to_dict(), magnitude=magnitude),
+            manifest=manifest,
+        ).run_id
+    if trace_faults:
+        analysis = analyze_events(
+            events,
+            total_time=run.final_time,
+            config=(
+                AnalysisConfig(eager_threshold=transport.eager_threshold)
+                if transport is not None
+                else None
+            ),
+            detectors=detectors,
+        )
+    else:
+        analysis = analyze_run(run, detectors=detectors)
+    return NoisyCell(
+        tuple(analysis.detected(threshold)), len(events), run_id, salvaged
+    )
 
 
 @dataclass
@@ -338,116 +253,6 @@ class CampaignResult:
         return "\n".join(lines) + "\n"
 
 
-def _execute_batch(
-    scenarios: Sequence[Scenario],
-    spec: CampaignSpec,
-    threshold: float,
-    workdir: Path,
-    time_budget: Optional[float],
-    supervisor,
-    archive,
-    workers: int,
-    families: Tuple[str, ...] = ("rule",),
-) -> List[ScenarioCell]:
-    """Run one batch of scenarios in scenario order."""
-    if workers > 1:
-        from ..resilience.forked import run_cells_forked
-
-        runner = (
-            _run_scenario_checked
-            if supervisor is not None
-            else _run_scenario
-        )
-        cells = [
-            (
-                cell_key(sc),
-                lambda sc=sc: _forked_cell(
-                    runner,
-                    sc,
-                    spec,
-                    threshold,
-                    workdir,
-                    time_budget,
-                    archive,
-                    families,
-                ),
-            )
-            for sc in scenarios
-        ]
-        extras_fn = None
-        on_extras = None
-        if archive is not None:
-            extras_fn = archive.store.drain_deferred
-
-            def on_extras(key, records):
-                for run_id, payload in records:
-                    archive.store.record_run(run_id, payload)
-
-        outcomes = run_cells_forked(
-            cells,
-            workers=workers,
-            supervisor=supervisor,
-            extras_fn=extras_fn,
-            on_extras=on_extras,
-        )
-        out = []
-        for scenario, outcome in zip(scenarios, outcomes):
-            if outcome.ok:
-                value = outcome.value
-                if not isinstance(value, ScenarioCell):
-                    value = ScenarioCell.from_dict(value)
-                out.append(value)
-            else:
-                out.append(
-                    _build_cell(
-                        scenario,
-                        error=outcome.failure.error,
-                        families=families,
-                    )
-                )
-        return out
-    out = []
-    for scenario in scenarios:
-        if supervisor is None:
-            out.append(
-                _run_scenario(
-                    scenario,
-                    spec,
-                    threshold,
-                    workdir,
-                    time_budget,
-                    archive,
-                    families,
-                )
-            )
-            continue
-        outcome = supervisor.run_cell(
-            cell_key(scenario),
-            lambda sc=scenario: _run_scenario_checked(
-                sc,
-                spec,
-                threshold,
-                workdir,
-                time_budget,
-                archive,
-                families,
-            ),
-            encode=lambda c: c.to_dict(),
-            decode=ScenarioCell.from_dict,
-        )
-        if outcome.ok:
-            out.append(outcome.value)
-        else:
-            out.append(
-                _build_cell(
-                    scenario,
-                    error=outcome.failure.error,
-                    families=families,
-                )
-            )
-    return out
-
-
 def run_campaign(
     spec: CampaignSpec,
     threshold: float = 0.01,
@@ -459,12 +264,13 @@ def run_campaign(
 ) -> CampaignResult:
     """Execute one synthesis campaign (see module docstring).
 
-    ``supervisor`` runs every cell supervised (build it with
-    ``retries=spec.max_retries`` to honor the spec); ``archive``
-    records every analyzed trace with its ground-truth manifest
-    attached; ``workers > 1`` forks the batch over child processes.
-    The result (and its JSON) is byte-identical across all execution
-    modes and across checkpoint resume.
+    Every cell runs under ``supervisor`` (build it with
+    ``retries=spec.max_retries`` to honor the spec; ``None`` means one
+    with no timeout, retries or journal); ``archive`` records every
+    analyzed trace with its ground-truth manifest attached;
+    ``workers > 1`` forks each batch over child processes.  The result
+    (and its JSON) is byte-identical across executors and across
+    checkpoint resume.
 
     ``spec.max_failures >= 0`` aborts the campaign with a
     :class:`CampaignError` (carrying the partial result) once more
@@ -475,16 +281,13 @@ def run_campaign(
     cells are graded through the class taxonomy and the scorer reports
     rule-based vs. statistical recall side by side.
     """
-    if workers < 1:
-        raise ValueError("workers must be >= 1")
-    families = tuple(families)
+    from ..archive import coerce_archive
+    from ..resilience import run_grid
     from ..stats import battery_for
 
+    families = tuple(families)
     battery_for(families)  # validates family names
-    if archive is not None:
-        from ..archive import coerce_archive
-
-        archive = coerce_archive(archive)
+    archive = coerce_archive(archive)
     result = CampaignResult(spec=spec, families=families)
 
     def check_failures() -> None:
@@ -503,18 +306,50 @@ def run_campaign(
     with tempfile.TemporaryDirectory(prefix="ats-synth-") as tmp:
         workdir = Path(tmp)
 
+        def graded_cell(scenario: Scenario) -> ScenarioCell:
+            # the archived record carries the ground-truth manifest, so
+            # ``ats diff`` and the scorer can grade straight from it
+            pspec = scenario.build_spec()
+            manifest = scenario.manifest()
+            manifest.validate()
+            noisy = run_noisy_cell(
+                pspec,
+                scenario.size,
+                scenario.threads,
+                scenario.seed,
+                spec.noise.plan,
+                scenario.noise_magnitude,
+                workdir / (
+                    f"synth-{scenario.index:05d}-s{scenario.seed}"
+                    ".trace.jsonl"
+                ),
+                families=families,
+                threshold=threshold,
+                time_budget=time_budget,
+                archive=archive,
+                manifest=manifest.to_dict(),
+            )
+            return _build_cell(
+                scenario, **noisy._asdict(), families=families
+            )
+
         def run_batch(batch: Sequence[Scenario]) -> None:
             result.cells.extend(
-                _execute_batch(
-                    batch,
-                    spec,
-                    threshold,
-                    workdir,
-                    time_budget,
-                    supervisor,
-                    archive,
-                    workers,
-                    families,
+                run_grid(
+                    [
+                        (
+                            cell_key(sc),
+                            lambda sc=sc: graded_cell(sc),
+                            lambda error, sc=sc: _build_cell(
+                                sc, error=error, families=families
+                            ),
+                        )
+                        for sc in batch
+                    ],
+                    ScenarioCell.from_dict,
+                    supervisor=supervisor,
+                    workers=workers,
+                    archive=archive,
                 )
             )
             check_failures()

@@ -20,6 +20,7 @@ from typing import Callable, Optional, Sequence, Tuple
 
 from ..analysis import analyze_run
 from ..core.registry import PropertySpec, list_properties
+from ..resilience.checkpoint import record_from_dict, record_to_dict
 
 #: properties tolerated in any program (framework overhead, paper fig 3.2)
 GLOBALLY_ALLOWED = ("mpi_init_overhead",)
@@ -54,8 +55,8 @@ class MatrixRow:
     #: localization requirement); None when not checkable (negative
     #: rows, or tools that do not localize)
     localized: Optional[bool] = None
-    #: exception text when the program itself failed under supervision
-    #: (deadlock, hang, crash); a failed row detects nothing
+    #: exception text when the program or the tool failed (deadlock,
+    #: hang, crash); a failed row detects nothing
     error: Optional[str] = None
 
     @property
@@ -68,35 +69,11 @@ class MatrixRow:
         )
 
     def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "paradigm": self.paradigm,
-            "negative": self.negative,
-            "expected": list(self.expected),
-            "detected": list(self.detected),
-            "missing": list(self.missing),
-            "spurious": list(self.spurious),
-            "severity": self.severity,
-            "final_time": self.final_time,
-            "localized": self.localized,
-            "error": self.error,
-        }
+        return record_to_dict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "MatrixRow":
-        return cls(
-            name=d["name"],
-            paradigm=d["paradigm"],
-            negative=d["negative"],
-            expected=tuple(d["expected"]),
-            detected=tuple(d["detected"]),
-            missing=tuple(d["missing"]),
-            spurious=tuple(d["spurious"]),
-            severity=d["severity"],
-            final_time=d["final_time"],
-            localized=d.get("localized"),
-            error=d.get("error"),
-        )
+        return record_from_dict(cls, d)
 
 
 @dataclass
@@ -190,21 +167,10 @@ def validate_spec(
         time_budget=time_budget,
     )
     if archive is not None:
-        from ..archive import coerce_archive, params_to_jsonable
+        from ..archive import coerce_archive
 
-        transport = getattr(run, "transport", None)
-        coerce_archive(archive).record(
-            program=spec.name,
-            events=run.events,
-            final_time=run.final_time,
-            paradigm=spec.paradigm,
-            params=params_to_jsonable(spec.default_params),
-            size=size,
-            threads=num_threads,
-            seed=seed,
-            eager_threshold=(
-                transport.eager_threshold if transport is not None else None
-            ),
+        coerce_archive(archive).record_result(
+            spec, run, size, num_threads, seed
         )
     detected = tuple(tool(run))
     tolerated = set(spec.expected) | set(spec.allowed) | set(
@@ -220,16 +186,10 @@ def validate_spec(
     # must pass through the property function's own trace region.
     localized: Optional[bool] = None
     if spec.expected and not missing:
-        localized = True
-        for prop in spec.expected:
-            callpaths = analysis.callpaths_of(prop)
-            if not callpaths:
-                localized = False
-                break
-            top_path = next(iter(callpaths))
-            if spec.name not in top_path:
-                localized = False
-                break
+        localized = all(
+            spec.name in next(iter(analysis.callpaths_of(prop)), ())
+            for prop in spec.expected
+        )
     return MatrixRow(
         name=spec.name,
         paradigm=spec.paradigm,
@@ -266,81 +226,6 @@ def matrix_cell_key(spec_name: str, size: int, seed: int) -> str:
     return f"{spec_name}|size{size}|s{seed}"
 
 
-def _forked_matrix_cell(
-    spec: PropertySpec,
-    tool: Optional[DetectorFn],
-    size: int,
-    num_threads: int,
-    seed: int,
-    time_budget: Optional[float],
-    archive,
-) -> dict:
-    """Child-side matrix cell (see :mod:`repro.resilience.forked`)."""
-    if archive is not None:
-        archive.store.begin_deferred()
-    return validate_spec(
-        spec,
-        tool=tool,
-        size=size,
-        num_threads=num_threads,
-        seed=seed,
-        time_budget=time_budget,
-        archive=archive,
-    ).to_dict()
-
-
-def _run_matrix_forked(
-    specs,
-    tool,
-    size,
-    num_threads,
-    seed,
-    time_budget,
-    supervisor,
-    archive,
-    workers,
-    result,
-) -> None:
-    """Fan the matrix out over forked workers (see run_validation_matrix)."""
-    from ..resilience.forked import run_cells_forked
-
-    cells = [
-        (
-            matrix_cell_key(spec.name, size, seed),
-            lambda spec=spec: _forked_matrix_cell(
-                spec, tool, size, num_threads, seed, time_budget, archive
-            ),
-        )
-        for spec in specs
-    ]
-    extras_fn = None
-    on_extras = None
-    if archive is not None:
-        extras_fn = archive.store.drain_deferred
-
-        def on_extras(key, records):
-            for run_id, payload in records:
-                archive.store.record_run(run_id, payload)
-
-    outcomes = run_cells_forked(
-        cells,
-        workers=workers,
-        supervisor=supervisor,
-        extras_fn=extras_fn,
-        on_extras=on_extras,
-    )
-    for spec, outcome in zip(specs, outcomes):
-        if outcome.ok:
-            value = outcome.value
-            if not isinstance(value, MatrixRow):
-                value = MatrixRow.from_dict(value)
-            result.rows.append(value)
-        else:
-            result.rows.append(
-                _failed_row(spec, outcome.failure.error)
-            )
-
-
 def run_validation_matrix(
     specs: Optional[Sequence[PropertySpec]] = None,
     tool: Optional[DetectorFn] = None,
@@ -354,46 +239,32 @@ def run_validation_matrix(
 ) -> MatrixResult:
     """Validate every (or the given) property function; see module doc.
 
-    With a ``supervisor`` (:class:`repro.resilience.Supervisor`) each
-    program runs supervised -- a deadlocking or hung program is
-    quarantined as a failed row instead of aborting the whole matrix,
-    and a checkpoint-carrying supervisor resumes a killed run.  With an
-    ``archive``, every executed run's trace is recorded (cells replayed
-    from a checkpoint are not re-executed, so they contribute nothing
-    new to the archive).  ``workers > 1`` runs the programs in forked
-    child processes; rows come back in spec order either way, so the
-    matrix is identical to a serial pass.
+    Each program runs under a ``supervisor``
+    (:class:`repro.resilience.Supervisor`; ``None`` means one with no
+    timeout, retries or journal): a program or tool that raises,
+    deadlocks or hangs is quarantined as a failed row instead of
+    aborting the whole matrix, and a checkpoint-carrying supervisor
+    resumes a killed run.  With an ``archive``, every executed run's
+    trace is recorded (cells replayed from a checkpoint are not
+    re-executed, so they contribute nothing new to the archive).
+    ``workers > 1`` runs the programs in forked child processes; rows
+    come back in spec order either way, so the matrix is identical to
+    a serial pass.
 
     Note the tool under test crosses a ``fork`` in parallel mode: a
     ``tool`` callable must therefore not depend on parent-side mutable
     state if it is to behave identically under ``workers > 1``.
     """
-    specs = list_properties() if specs is None else list(specs)
-    if workers < 1:
-        raise ValueError("workers must be >= 1")
-    if archive is not None:
-        from ..archive import coerce_archive
+    from ..archive import coerce_archive
+    from ..resilience import run_grid
 
-        archive = coerce_archive(archive)
-    result = MatrixResult()
-    if workers > 1:
-        _run_matrix_forked(
-            specs,
-            tool,
-            size,
-            num_threads,
-            seed,
-            time_budget,
-            supervisor,
-            archive,
-            workers,
-            result,
-        )
-        return result
-    for spec in specs:
-        if supervisor is None:
-            result.rows.append(
-                validate_spec(
+    specs = list_properties() if specs is None else list(specs)
+    archive = coerce_archive(archive)
+    rows = run_grid(
+        [
+            (
+                matrix_cell_key(spec.name, size, seed),
+                lambda spec=spec: validate_spec(
                     spec,
                     tool=tool,
                     size=size,
@@ -401,30 +272,17 @@ def run_validation_matrix(
                     seed=seed,
                     time_budget=time_budget,
                     archive=archive,
-                )
+                ),
+                lambda error, spec=spec: _failed_row(spec, error),
             )
-            continue
-        outcome = supervisor.run_cell(
-            matrix_cell_key(spec.name, size, seed),
-            lambda spec=spec: validate_spec(
-                spec,
-                tool=tool,
-                size=size,
-                num_threads=num_threads,
-                seed=seed,
-                time_budget=time_budget,
-                archive=archive,
-            ),
-            encode=lambda row: row.to_dict(),
-            decode=MatrixRow.from_dict,
-        )
-        if outcome.ok:
-            result.rows.append(outcome.value)
-        else:
-            result.rows.append(
-                _failed_row(spec, outcome.failure.error)
-            )
-    return result
+            for spec in specs
+        ],
+        MatrixRow.from_dict,
+        supervisor=supervisor,
+        workers=workers,
+        archive=archive,
+    )
+    return MatrixResult(rows=rows)
 
 
 @dataclass(frozen=True)

@@ -2,26 +2,64 @@
 
 The scheduler's correctness contract is exact ``(time, seq)`` service
 order; the calendar queue must be observationally identical to the
-reference heap queue under any push/pop interleaving, and traces must
-stay bit-identical per seed whichever queue a simulator uses.
+reference heap queue below under any push/pop interleaving, and traces
+must stay bit-identical per seed whichever queue a simulator uses.
 """
 
-import os
-import subprocess
-import sys
 from collections import deque
+from heapq import heappop, heappush
+from typing import Optional, Tuple
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.simkernel.scheduler as scheduler
 from repro.core import get_property
-from repro.simkernel.eventq import (
-    CalendarEventQueue,
-    HeapEventQueue,
-    default_queue_class,
-)
+from repro.simkernel.eventq import CalendarEventQueue
 from repro.trace.io import events_to_jsonl
+
+
+class HeapEventQueue:
+    """The kernel's original single-heap queue: the differential oracle."""
+
+    __slots__ = ("_heap",)
+
+    def __init__(self) -> None:
+        self._heap: list = []
+
+    def __len__(self) -> int:
+        return len(self._heap)
+
+    @property
+    def distinct_times(self) -> int:
+        return len({entry[0] for entry in self._heap})
+
+    def push(self, at: float, seq: int, proc) -> None:
+        heappush(self._heap, (at, seq, proc))
+
+    def head(self) -> Optional[Tuple[float, int]]:
+        if not self._heap:
+            return None
+        entry = self._heap[0]
+        return entry[0], entry[1]
+
+    def pop(self) -> Tuple[float, int, object]:
+        return heappop(self._heap)
+
+    def transfer(self, ready) -> float:
+        """Move every entry sharing the earliest timestamp onto ``ready``.
+
+        Same-time heap entries pop in seq order, so this produces the
+        exact tuple sequence :meth:`CalendarEventQueue.transfer` does.
+        """
+        heap = self._heap
+        entry = heappop(heap)
+        at = entry[0]
+        ready.append(entry)
+        while heap and heap[0][0] == at:
+            ready.append(heappop(heap))
+        return at
 
 # ----------------------------------------------------------------------
 # direct queue equivalence
@@ -138,32 +176,11 @@ def test_partially_popped_bucket_then_transfer():
 
 
 # ----------------------------------------------------------------------
-# ATS_SCHEDULER selection
-# ----------------------------------------------------------------------
-
-def test_default_queue_class_selection(monkeypatch):
-    monkeypatch.delenv("ATS_SCHEDULER", raising=False)
-    assert default_queue_class() is CalendarEventQueue
-    monkeypatch.setenv("ATS_SCHEDULER", "heap")
-    assert default_queue_class() is HeapEventQueue
-    monkeypatch.setenv("ATS_SCHEDULER", " Calendar ")
-    assert default_queue_class() is CalendarEventQueue
-    monkeypatch.setenv("ATS_SCHEDULER", "")
-    assert default_queue_class() is CalendarEventQueue
-
-
-def test_default_queue_class_rejects_unknown(monkeypatch):
-    monkeypatch.setenv("ATS_SCHEDULER", "btree")
-    with pytest.raises(ValueError, match="ATS_SCHEDULER"):
-        default_queue_class()
-
-
-# ----------------------------------------------------------------------
 # end-to-end: traces bit-identical across schedulers
 # ----------------------------------------------------------------------
 
-def _trace_text(name: str, scheduler: str, monkeypatch) -> str:
-    monkeypatch.setenv("ATS_SCHEDULER", scheduler)
+def _trace_text(name: str, queue_class, monkeypatch) -> str:
+    monkeypatch.setattr(scheduler, "CalendarEventQueue", queue_class)
     run = get_property(name).run(size=8, num_threads=3, seed=7)
     return events_to_jsonl(run.events, metadata={"program": name})
 
@@ -173,8 +190,8 @@ def _trace_text(name: str, scheduler: str, monkeypatch) -> str:
     ["imbalance_at_mpi_barrier", "hybrid_imbalance_then_barrier"],
 )
 def test_traces_bit_identical_across_schedulers(name, monkeypatch):
-    heap = _trace_text(name, "heap", monkeypatch)
-    calendar = _trace_text(name, "calendar", monkeypatch)
+    heap = _trace_text(name, HeapEventQueue, monkeypatch)
+    calendar = _trace_text(name, CalendarEventQueue, monkeypatch)
     assert heap == calendar
 
 
@@ -201,25 +218,3 @@ def test_same_timestamp_fifo_fast_path_regression():
     assert len(sim._eventq) == 0
     # spawn order is preserved within every same-time step
     assert order == [(s, i) for s in range(3) for i in range(4)]
-
-
-def test_subprocess_scheduler_env_round_trip():
-    """ATS_SCHEDULER picked up at simulator construction in a clean env."""
-    code = (
-        "from repro.simkernel import Simulator, hold\n"
-        "from repro.simkernel.eventq import HeapEventQueue\n"
-        "sim = Simulator()\n"
-        "assert type(sim._eventq) is HeapEventQueue, type(sim._eventq)\n"
-        "sim.spawn(lambda: hold(1.0))\n"
-        "assert sim.run() == 1.0\n"
-        "print('heap-ok')\n"
-    )
-    env = dict(os.environ, ATS_SCHEDULER="heap")
-    out = subprocess.run(
-        [sys.executable, "-c", code],
-        capture_output=True,
-        text=True,
-        env=env,
-    )
-    assert out.returncode == 0, out.stderr
-    assert "heap-ok" in out.stdout
