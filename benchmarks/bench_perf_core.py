@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 from pathlib import Path
@@ -110,15 +109,6 @@ def run_sweep(sizes, num_threads: int, repeats: int) -> dict:
 KILO_PROGRAM = "imbalance_at_mpi_barrier"
 KILO_SIZE = 1024
 
-#: the parallel-sweep shape: a small robustness grid, serial vs forked.
-SWEEP_PROGRAMS = (
-    "imbalance_at_mpi_barrier",
-    "late_broadcast",
-    "late_sender",
-    "balanced_mpi_barrier",
-)
-
-
 def run_kilo(repeats: int, size: int = KILO_SIZE) -> dict:
     """Single-process kilo-rank throughput (the size-1024 row)."""
     spec = get_property(KILO_PROGRAM)
@@ -147,58 +137,6 @@ def run_kilo(repeats: int, size: int = KILO_SIZE) -> dict:
     return row
 
 
-def run_parallel_sweep(workers: int = 0) -> dict:
-    """Serial vs forked robustness sweep over one small grid.
-
-    Records the measured speedup together with the host's CPU count --
-    the bench guard tiers its expectation on ``cpus``, because a ≥2x
-    fork speedup is physically impossible on a single-core runner.
-    Also asserts the two artifacts are byte-identical, so the committed
-    speedup number always describes equivalent work.
-    """
-    from repro.validation.robustness import run_robustness
-
-    cpus = os.cpu_count() or 1
-    if workers < 1:
-        workers = min(4, max(2, cpus))
-    specs = [get_property(name) for name in SWEEP_PROGRAMS]
-    # size 48 makes each cell ~100ms of pure-Python simulation, large
-    # enough that the one-time fork cost (interpreter copy, worker
-    # threads, result pipe) is noise against the work it parallelizes.
-    kw = dict(
-        specs=specs,
-        magnitudes=(0.0, 0.7),
-        seeds=(0, 1),
-        size=48,
-        num_threads=2,
-    )
-    t0 = time.perf_counter()
-    serial = run_robustness(**kw)
-    serial_s = time.perf_counter() - t0
-    t0 = time.perf_counter()
-    parallel = run_robustness(**kw, workers=workers)
-    parallel_s = time.perf_counter() - t0
-    if serial.to_json_str() != parallel.to_json_str():
-        raise AssertionError(
-            "parallel robustness artifact diverged from serial"
-        )
-    row = {
-        "programs": list(SWEEP_PROGRAMS),
-        "cells": len(serial.cells),
-        "workers": workers,
-        "cpus": cpus,
-        "serial_wall_s": round(serial_s, 6),
-        "parallel_wall_s": round(parallel_s, 6),
-        "speedup": round(serial_s / parallel_s, 3) if parallel_s else 0.0,
-    }
-    print(
-        f"sweep {row['cells']} cells  serial {serial_s*1000:8.1f} ms  "
-        f"forked(x{workers}) {parallel_s*1000:8.1f} ms  "
-        f"speedup {row['speedup']:.2f}x on {cpus} cpu(s)"
-    )
-    return row
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument(
@@ -210,11 +148,6 @@ def main(argv=None) -> int:
         help="key to store this measurement under (e.g. before/current)",
     )
     parser.add_argument("--repeats", type=int, default=2)
-    parser.add_argument(
-        "--workers", type=int, default=0,
-        help="worker count for the parallel-sweep section "
-        "(0 = min(4, cpus))",
-    )
     args = parser.parse_args(argv)
     if args.repeats < 1:
         parser.error("--repeats must be >= 1")
@@ -222,14 +155,12 @@ def main(argv=None) -> int:
     if args.quick:
         sweep = run_sweep(sizes=(4,), num_threads=2, repeats=1)
         run_kilo(repeats=1, size=128)
-        run_parallel_sweep(workers=2)
         print("quick smoke ok")
         return 0
 
     sweep = run_sweep(sizes=(4, 8, 16, 32, 64), num_threads=4,
                       repeats=args.repeats)
     sweep["kilo"] = run_kilo(repeats=args.repeats)
-    sweep["parallel_sweep"] = run_parallel_sweep(workers=args.workers)
 
     existing = {}
     if OUT_PATH.exists():

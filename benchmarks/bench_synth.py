@@ -3,11 +3,10 @@
 
 Measures the end-to-end cell rate of ``repro.synth`` -- generate
 scenarios, run each synthesized program under its fault plan, analyze
-the trace and grade it against the ground-truth manifest -- in three
+the trace and grade it against the ground-truth manifest -- in two
 configurations:
 
 * **serial**  -- ``run_campaign`` on the calling thread,
-* **forked**  -- the fork-per-cell executor (``--workers N``),
 * **scored**  -- serial plus ``score_result`` and JSON serialization,
   the full ``ats synth campaign --json`` path.
 
@@ -44,7 +43,6 @@ from repro.synth import (  # noqa: E402
     run_campaign,
     score_result,
 )
-from repro.work.forkexec import fork_available  # noqa: E402
 
 OUT_PATH = REPO_ROOT / "BENCH_SYNTH.json"
 
@@ -83,19 +81,6 @@ def run_serial(scenarios: int) -> dict:
     }
 
 
-def run_forked(scenarios: int, workers: int) -> dict:
-    result, wall = _timed(
-        lambda: run_campaign(_spec(scenarios), workers=workers)
-    )
-    return {
-        "cells": len(result.cells),
-        "errors": len(result.errors),
-        "workers": workers,
-        "wall_s": wall,
-        "cells_per_s": len(result.cells) / wall,
-    }
-
-
 def run_scored(scenarios: int) -> dict:
     def full_path():
         result = run_campaign(_spec(scenarios))
@@ -117,7 +102,6 @@ def main(argv=None) -> int:
         "--quick", action="store_true",
         help="CI smoke: small campaigns, no JSON write",
     )
-    parser.add_argument("--workers", type=int, default=4)
     args = parser.parse_args(argv)
 
     scenarios = QUICK_SCENARIOS if args.quick else FULL_SCENARIOS
@@ -129,17 +113,6 @@ def main(argv=None) -> int:
         f"{serial['errors']} errors)"
     )
 
-    forked = None
-    if fork_available():
-        forked = run_forked(scenarios, args.workers)
-        print(
-            f"  forked {forked['cells']:5d} cells x{forked['workers']}: "
-            f"{forked['wall_s']:6.2f} s "
-            f"({forked['cells_per_s']:7.1f} cells/s)"
-        )
-    else:
-        print("  forked executor unavailable; skipped")
-
     scored = run_scored(scenarios)
     print(
         f"  scored {scored['cells']:5d} cells: {scored['wall_s']:6.2f} s "
@@ -150,7 +123,6 @@ def main(argv=None) -> int:
     payload = {
         "synth": {
             "serial": serial,
-            "forked": forked,
             "scored": scored,
         },
         "python": platform.python_version(),

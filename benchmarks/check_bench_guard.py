@@ -20,9 +20,6 @@ It also validates committed acceptance bars:
   misses,
 * ``BENCH_CORE.json`` ``current.kilo`` -- the size-1024 row must hold
   the ranks-per-second floor,
-* ``BENCH_CORE.json`` ``current.parallel_sweep`` -- the fork-sweep
-  speedup must meet the bar for the CPU count it was measured on
-  (>=2x at 4+ cores; relaxed below, skipped on one core),
 * ``BENCH_SERVICE.json`` -- the 1000-request burst must have
   collapsed >= 90% of duplicate in-flight analyzes, and warm-cache
   analyzes must hold p99 < 50 ms,
@@ -124,12 +121,6 @@ ARCHIVE_MIN_SPEEDUP = 5.0
 #: to super-linear event cost would trip it.
 KILO_MIN_RANKS_PER_S = 250.0
 
-#: minimum parallel-sweep speedup, tiered by the CPU count the
-#: benchmark recorded: a >=2x fork speedup is physically impossible on
-#: fewer than 2 cores, so the bar only fully applies at 4+ cores.
-PARALLEL_MIN_SPEEDUP_4CPU = 2.0
-PARALLEL_MIN_SPEEDUP_2CPU = 1.2
-
 
 def check_kilo_baseline() -> bool:
     """Validate the committed size-1024 throughput row; True when OK."""
@@ -149,42 +140,6 @@ def check_kilo_baseline() -> bool:
     print(
         f"  BENCH_CORE kilo-{size} throughput {ranks_per_s:7.1f} ranks/s "
         f"(floor {KILO_MIN_RANKS_PER_S:.0f})  {verdict}"
-    )
-    return ok
-
-
-def check_parallel_sweep_baseline() -> bool:
-    """Validate the committed fork-sweep speedup; True when OK."""
-    core = _load("BENCH_CORE.json")
-    entry = (core or {}).get("current", {}).get("parallel_sweep")
-    if not entry:
-        print("no BENCH_CORE parallel_sweep baseline; "
-              "parallel check skipped")
-        return True
-    try:
-        speedup = float(entry["speedup"])
-        cpus = int(entry["cpus"])
-        workers = entry["workers"]
-    except KeyError as exc:
-        print(f"BENCH_CORE parallel_sweep entry malformed "
-              f"(missing {exc}); FAIL")
-        return False
-    if cpus >= 4:
-        bar = PARALLEL_MIN_SPEEDUP_4CPU
-    elif cpus >= 2:
-        bar = PARALLEL_MIN_SPEEDUP_2CPU
-    else:
-        print(
-            f"  BENCH_CORE parallel sweep        {speedup:7.2f}x "
-            f"(x{workers} workers, {cpus} cpu: no speedup possible, "
-            "skipped)"
-        )
-        return True
-    ok = speedup >= bar
-    verdict = "ok" if ok else "REGRESSION"
-    print(
-        f"  BENCH_CORE parallel sweep        {speedup:7.2f}x "
-        f"(x{workers} workers on {cpus} cpus, bar {bar:.1f}x)  {verdict}"
     )
     return ok
 
@@ -349,13 +304,11 @@ def main(argv=None) -> int:
 
     archive_ok = check_archive_baseline()
     kilo_ok = check_kilo_baseline()
-    parallel_ok = check_parallel_sweep_baseline()
     service_ok = check_service_baseline()
     synth_ok = check_synth_baseline()
     stats_ok = check_stats_baseline()
     committed_ok = (
-        archive_ok and kilo_ok and parallel_ok and service_ok
-        and synth_ok and stats_ok
+        archive_ok and kilo_ok and service_ok and synth_ok and stats_ok
     )
 
     baselines = collect_baselines(args.size)

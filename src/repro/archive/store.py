@@ -78,9 +78,6 @@ class ArchiveStore:
             self.root / "manifest.jsonl", fmt=MANIFEST_FORMAT,
             fsync=fsync,
         )
-        #: queued ``(run_id, payload)`` records while deferred (see
-        #: :meth:`begin_deferred`); ``None`` means write-through.
-        self._deferred: Optional[list] = None
         #: serializes manifest appends/reads: blob writes are already
         #: atomic-rename safe under concurrency, but the journal is one
         #: shared buffered fd, and the analysis service records runs
@@ -177,46 +174,9 @@ class ArchiveStore:
     # ------------------------------------------------------------------
 
     def record_run(self, run_id: str, payload: dict) -> None:
-        """Append one run record (flushed immediately, kill-safe).
-
-        In deferred mode the record is queued instead of written --
-        see :meth:`begin_deferred`.
-        """
-        if self._deferred is not None:
-            self._deferred.append([run_id, payload])
-            return
+        """Append one run record (flushed immediately, kill-safe)."""
         with self._manifest_lock:
             self._manifest.record(run_id, payload)
-
-    def begin_deferred(self) -> None:
-        """Queue manifest records in memory instead of writing them.
-
-        Blob writes are fork-safe -- atomic (temp file + rename) and
-        content-addressed, so concurrent children storing the same
-        trace race benignly.  The manifest journal is *not*: it is a
-        shared append-only fd, and forked children each inherit a copy
-        whose buffered appends would interleave or duplicate.  A forked
-        sweep therefore flips its child-side archive into deferred
-        mode: children write blobs directly but queue manifest records,
-        ship them home on the result envelope
-        (:meth:`drain_deferred`), and the parent replays them through
-        its own journal in a single writer.
-        """
-        if self._deferred is None:
-            self._deferred = []
-
-    def drain_deferred(self) -> list:
-        """Return and clear the queued records (JSON-safe pairs).
-
-        The store stays in deferred mode; each ``[run_id, payload]``
-        pair is meant to be replayed with :meth:`record_run` on the
-        parent's store.
-        """
-        if self._deferred is None:
-            return []
-        drained = self._deferred
-        self._deferred = []
-        return drained
 
     def load_manifest(self) -> Dict[str, dict]:
         """``run_id -> payload`` in first-recorded order (last wins).

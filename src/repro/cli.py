@@ -186,25 +186,6 @@ def _add_supervision_options(parser: argparse.ArgumentParser) -> None:
                         metavar="VSECONDS",
                         help="virtual-time watchdog per program run: "
                         "hung programs raise a structured HangReport")
-    parser.add_argument("--workers", type=int, default=1, metavar="N",
-                        help="fan sweep cells out over N forked worker "
-                        "processes (output stays byte-identical to a "
-                        "serial run)")
-
-
-def _workers_of(args) -> int:
-    workers = getattr(args, "workers", 1)
-    if workers < 1:
-        raise CliError("--workers must be >= 1")
-    if workers > 1:
-        from .work.forkexec import fork_available
-
-        if not fork_available():
-            raise CliError(
-                "--workers > 1 needs os.fork (POSIX); "
-                "rerun with --workers 1"
-            )
-    return workers
 
 
 def _make_supervisor(args):
@@ -495,7 +476,6 @@ def cmd_matrix(args: argparse.Namespace) -> int:
         time_budget=args.time_budget,
         supervisor=supervisor,
         archive=args.archive,
-        workers=_workers_of(args),
     )
     print(matrix.format_table())
     if args.archive is not None:
@@ -546,7 +526,6 @@ def cmd_robustness(args: argparse.Namespace) -> int:
         time_budget=args.time_budget,
         supervisor=supervisor,
         archive=args.archive,
-        workers=_workers_of(args),
         families=families,
     )
     print(result.format_table())
@@ -715,7 +694,6 @@ def cmd_synth_campaign(args: argparse.Namespace) -> int:
             time_budget=args.time_budget,
             supervisor=supervisor,
             archive=args.archive,
-            workers=_workers_of(args),
             families=families,
         )
     except SynthError as exc:

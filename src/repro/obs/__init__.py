@@ -40,7 +40,6 @@ from .instruments import (
     trace_metrics,
     transport_metrics,
 )
-from .merge import merge_state, registry_state, state_delta
 from .metrics import (
     Counter,
     DEFAULT_BUCKETS,
@@ -81,12 +80,10 @@ __all__ = [
     "fault_metrics",
     "get_registry",
     "kernel_metrics",
-    "merge_state",
     "metrics_enabled",
     "null_registry",
     "omp_metrics",
     "quantile_from_counts",
-    "registry_state",
     "reset_metrics",
     "reset_spans",
     "service_metrics",
@@ -95,7 +92,6 @@ __all__ = [
     "span",
     "span_log",
     "spans_enabled",
-    "state_delta",
     "to_json",
     "to_json_str",
     "to_prometheus",

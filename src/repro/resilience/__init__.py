@@ -12,12 +12,9 @@ Three cooperating pieces:
 * the :class:`CheckpointJournal` makes completed cells durable so an
   interrupted sweep resumes instead of restarting.
 
-:func:`run_cells_forked` (:mod:`repro.resilience.forked`) lifts the
-whole cell lifecycle onto the fork-per-cell executor, and
 :func:`run_grid` (:mod:`repro.resilience.grid`) is the one grid
 executor every sweep -- validation matrix, robustness, synthesized
-campaign -- runs its cells on, serial or forked, with identical
-journals and artifacts.
+campaign -- runs its cells on, serially and in submission order.
 """
 
 from .checkpoint import (
@@ -25,7 +22,6 @@ from .checkpoint import (
     CheckpointJournal,
     coerce_journal,
 )
-from .forked import run_cells_forked
 from .grid import run_grid
 from .supervisor import (
     FAILURE_KINDS,
@@ -50,6 +46,5 @@ __all__ = [
     "Supervisor",
     "classify_failure",
     "coerce_journal",
-    "run_cells_forked",
     "run_grid",
 ]

@@ -265,7 +265,21 @@ class Supervisor:
         if cached is not None:
             return cached
         outcome = self._execute(key, fn)
-        return self.finalize(outcome, encode)
+        self._journal_outcome(key, outcome, encode)
+        m = self._metrics
+        if outcome.failure is not None:
+            self.failures.append(outcome.failure)
+            if m is not None:
+                m.failures.labels(kind=outcome.failure.kind).inc()
+            self._emit(
+                "cell-quarantined", key,
+                kind=outcome.failure.kind, attempts=outcome.attempts,
+            )
+        else:
+            self._emit("cell-done", key, attempts=outcome.attempts)
+        if m is not None:
+            m.cells.labels(status=outcome.status).inc()
+        return outcome
 
     def replay(
         self,
@@ -302,36 +316,6 @@ class Supervisor:
             attempts=failure.attempts,
             from_checkpoint=True,
         )
-
-    def finalize(
-        self,
-        outcome: CellOutcome,
-        encode: Optional[Callable[[Any], dict]] = None,
-    ) -> CellOutcome:
-        """Journal and account an outcome resolved outside ``run_cell``.
-
-        The fork-per-cell executor (:mod:`repro.resilience.forked`)
-        produces outcomes in the parent from child envelopes; this is
-        the shared tail of the cell lifecycle -- checkpoint journaling,
-        quarantine bookkeeping and metrics -- for both paths.
-        """
-        self._journal_outcome(outcome.key, outcome, encode)
-        if outcome.failure is not None:
-            self.failures.append(outcome.failure)
-            m = self._metrics
-            if m is not None:
-                m.failures.labels(kind=outcome.failure.kind).inc()
-            self._emit(
-                "cell-quarantined", outcome.key,
-                kind=outcome.failure.kind, attempts=outcome.attempts,
-            )
-        else:
-            self._emit(
-                "cell-done", outcome.key, attempts=outcome.attempts
-            )
-        if self._metrics is not None:
-            self._metrics.cells.labels(status=outcome.status).inc()
-        return outcome
 
     def _execute(self, key: str, fn: Callable[[], Any]) -> CellOutcome:
         attempt = 0

@@ -189,7 +189,7 @@ def _reset_pool_after_fork() -> None:
     the child inherits ``_Worker`` objects whose threads no longer
     exist, so releasing their ``_resume`` locks would wake nobody and
     the first dispatch would hang forever.  Reusing the counters would
-    likewise double-count parent history in the child's metrics delta.
+    likewise double-count parent history in the child's metrics.
     """
     _pool._parked.clear()
     _pool.created = 0

@@ -34,7 +34,7 @@ def derive_seed(parent_seed: int, index: int) -> int:
     The integer equivalent of :meth:`Lcg64.spawn`: the child seed is
     splitmix-decorrelated from both the parent and every sibling, so
     sweep frameworks that must hand out plain ``int`` seeds (campaign
-    cells, forked tasks, synthesized scenarios) never fall back to
+    cells, robustness cells, synthesized scenarios) never fall back to
     low-entropy ``seed + i`` arithmetic.  ``Lcg64(derive_seed(p, i))``
     draws the same stream as ``Lcg64(p).spawn(i)``.
     """

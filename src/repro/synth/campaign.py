@@ -8,9 +8,8 @@ Robustness sweeps grade its output against the registry; campaigns
 grade it against each scenario's ground-truth manifest.  Cells run on
 the grid executor (:func:`repro.resilience.run_grid`) under a
 :class:`repro.resilience.Supervisor` (wall-clock timeout / retry /
-quarantine / checkpoint resume), serially or fanned out over forked
-workers -- results are assembled in scenario order, so the campaign
-JSON is byte-identical across executors.
+quarantine / checkpoint resume), serially and in scenario order, so
+the campaign JSON is byte-identical across runs and checkpoint resume.
 
 The adversarial strategy loops here: after the base sample, each
 refinement round ranks cells by disagreement (missing + spurious
@@ -259,7 +258,6 @@ def run_campaign(
     time_budget: Optional[float] = None,
     supervisor=None,
     archive=None,
-    workers: int = 1,
     families: Sequence[str] = ("rule",),
 ) -> CampaignResult:
     """Execute one synthesis campaign (see module docstring).
@@ -267,10 +265,9 @@ def run_campaign(
     Every cell runs under ``supervisor`` (build it with
     ``retries=spec.max_retries`` to honor the spec; ``None`` means one
     with no timeout, retries or journal); ``archive`` records every
-    analyzed trace with its ground-truth manifest attached;
-    ``workers > 1`` forks each batch over child processes.  The result
-    (and its JSON) is byte-identical across executors and across
-    checkpoint resume.
+    analyzed trace with its ground-truth manifest attached.  The result
+    (and its JSON) is byte-identical across runs and across checkpoint
+    resume.
 
     ``spec.max_failures >= 0`` aborts the campaign with a
     :class:`CampaignError` (carrying the partial result) once more
@@ -348,8 +345,6 @@ def run_campaign(
                     ],
                     ScenarioCell.from_dict,
                     supervisor=supervisor,
-                    workers=workers,
-                    archive=archive,
                 )
             )
             check_failures()

@@ -235,7 +235,6 @@ def run_validation_matrix(
     time_budget: Optional[float] = None,
     supervisor=None,
     archive=None,
-    workers: int = 1,
 ) -> MatrixResult:
     """Validate every (or the given) property function; see module doc.
 
@@ -247,13 +246,7 @@ def run_validation_matrix(
     resumes a killed run.  With an ``archive``, every executed run's
     trace is recorded (cells replayed from a checkpoint are not
     re-executed, so they contribute nothing new to the archive).
-    ``workers > 1`` runs the programs in forked child processes; rows
-    come back in spec order either way, so the matrix is identical to
-    a serial pass.
-
-    Note the tool under test crosses a ``fork`` in parallel mode: a
-    ``tool`` callable must therefore not depend on parent-side mutable
-    state if it is to behave identically under ``workers > 1``.
+    Rows come back in spec order.
     """
     from ..archive import coerce_archive
     from ..resilience import run_grid
@@ -279,8 +272,6 @@ def run_validation_matrix(
         ],
         MatrixRow.from_dict,
         supervisor=supervisor,
-        workers=workers,
-        archive=archive,
     )
     return MatrixResult(rows=rows)
 

@@ -279,7 +279,6 @@ def run_robustness(
     time_budget: Optional[float] = None,
     supervisor=None,
     archive=None,
-    workers: int = 1,
     families: Sequence[str] = ("rule",),
 ) -> RobustnessResult:
     """Sweep perturbation magnitude across the validation programs.
@@ -299,11 +298,9 @@ def run_robustness(
     under its scaled fault plan -- the faulty-run side of an
     ``ats diff`` against a clean baseline.
 
-    ``workers > 1`` fans the cell grid out over forked child processes
-    (:mod:`repro.resilience.forked`) -- true multicore throughput.
     Cells are independent and seed-deterministic, and results are
     assembled in grid order, so the returned result (and its JSON) is
-    byte-identical to a serial sweep for any worker count.
+    a pure function of the arguments.
 
     ``families`` selects the detector families to run (see
     :func:`repro.stats.battery_for`).  With ``"similarity"`` enabled,
@@ -374,7 +371,5 @@ def run_robustness(
             ],
             RobustnessCell.from_dict,
             supervisor=supervisor,
-            workers=workers,
-            archive=archive,
         )
     return result

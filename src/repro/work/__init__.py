@@ -6,14 +6,8 @@ Two backends implement ``do_work``:
   (exact, deterministic; the default for the test suite),
 * :class:`repro.work.RealWorker` -- the paper's calibrated random-access
   busy loop against wall-clock time (for calibration experiments).
-
-The package also hosts the host-side fork executor
-(:mod:`repro.work.forkexec`) that fans independent sweep cells out over
-``os.fork`` children -- true multicore throughput for the validation
-matrix and robustness campaigns.
 """
 
-from .forkexec import ForkOutcome, fork_available, run_forked_tasks
 from .io import IO_READ_REGION, IO_WRITE_REGION, do_io
 from .parallel import par_do_mpi_work, par_do_omp_work
 from .real import ARRAY_ELEMENTS, Calibration, RealWorker
@@ -24,13 +18,10 @@ __all__ = [
     "IO_READ_REGION",
     "IO_WRITE_REGION",
     "Calibration",
-    "ForkOutcome",
     "RealWorker",
     "WORK_REGION",
     "do_io",
     "do_work",
-    "fork_available",
     "par_do_mpi_work",
     "par_do_omp_work",
-    "run_forked_tasks",
 ]

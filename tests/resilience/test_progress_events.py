@@ -1,7 +1,6 @@
 """Supervisor structured progress events (the live-dashboard feed)."""
 
 from repro.resilience import PROGRESS_EVENTS, Supervisor
-from repro.resilience.forked import run_cells_forked
 
 
 def _collector():
@@ -119,31 +118,3 @@ def test_journal_byte_identical_with_and_without_callback(tmp_path):
     assert events, "callback saw no events"
     assert with_cb.read_bytes() == without.read_bytes()
 
-
-# ----------------------------------------------------------------------
-# forked path
-# ----------------------------------------------------------------------
-
-def test_forked_cells_emit_started_and_done():
-    events, on_event = _collector()
-    sup = Supervisor(on_event=on_event)
-    outcomes = run_cells_forked(
-        [
-            ("f-ok", lambda: {"x": 1}),
-            ("f-bad", _forked_bad),
-        ],
-        workers=2,
-        supervisor=sup,
-        echo_output=False,
-    )
-    assert [o.ok for o in outcomes] == [True, False]
-    names = _names(events)
-    assert names.count("cell-started") == 2
-    assert names.count("cell-done") == 1
-    assert names.count("cell-quarantined") == 1
-    keys = {e["key"] for e in events}
-    assert keys == {"f-ok", "f-bad"}
-
-
-def _forked_bad():
-    raise ValueError("forked failure")

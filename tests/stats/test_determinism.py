@@ -3,12 +3,10 @@
 The similarity family's clustering is pure stdlib arithmetic with
 fixed tie-breaking, so the same trace digest must yield the same
 findings in-process, through the archive cache (warm or cold), and in
-a forked robustness/campaign sweep at any worker count.
+repeated robustness/campaign sweeps.
 """
 
 import json
-
-import pytest
 
 from repro.analysis import analyze_run
 from repro.archive import Archive, CacheStats, result_to_json_bytes
@@ -16,11 +14,6 @@ from repro.core import get_property
 from repro.stats import STATISTICAL_DETECTORS, battery_for
 from repro.synth import CampaignSpec, run_campaign
 from repro.validation import run_robustness
-from repro.work.forkexec import fork_available
-
-needs_fork = pytest.mark.skipif(
-    not fork_available(), reason="fork executor needs POSIX"
-)
 
 FAMILIES = ("rule", "similarity")
 
@@ -61,40 +54,33 @@ def test_warm_cache_byte_identical_to_cold(tmp_path):
     assert result_to_json_bytes(warm) == result_to_json_bytes(cold)
 
 
-@needs_fork
-def test_robustness_with_similarity_identical_across_workers():
+def test_robustness_with_similarity_identical_across_runs():
     specs = [
         get_property("late_sender"),
         get_property("balanced_sendrecv"),
     ]
 
-    def sweep(workers):
+    def sweep():
         return run_robustness(
             specs=specs,
             magnitudes=(0.0, 0.7),
             seeds=(0, 1),
             size=6,
             num_threads=2,
-            workers=workers,
             families=FAMILIES,
         ).to_json_str()
 
-    serial = sweep(1)
-    assert '"families"' in serial
-    for workers in (2, 3):
-        assert sweep(workers) == serial
+    first = sweep()
+    assert '"families"' in first
+    assert sweep() == first
 
 
-@needs_fork
-def test_campaign_with_similarity_identical_across_workers():
+def test_campaign_with_similarity_identical_across_runs():
     spec = CampaignSpec(
         name="det-par", scenarios=4, sizes=(4,), seed=11
     )
-    serial = run_campaign(spec, families=FAMILIES).to_json_str()
-    forked = run_campaign(
-        spec, workers=2, families=FAMILIES
-    ).to_json_str()
-    assert forked == serial
+    first = run_campaign(spec, families=FAMILIES).to_json_str()
+    assert run_campaign(spec, families=FAMILIES).to_json_str() == first
 
 
 def test_rule_only_campaign_unchanged_by_families_plumbing():

@@ -1,4 +1,4 @@
-"""Campaign execution: parity across modes, archiving, scoring."""
+"""Campaign execution: repeatability, resume, archiving, scoring."""
 
 import json
 
@@ -15,7 +15,6 @@ from repro.synth import (
     score_campaign_json,
     score_result,
 )
-from repro.work.forkexec import fork_available
 
 
 def _spec(**over):
@@ -104,29 +103,14 @@ def test_max_failures_aborts_with_partial_result():
     assert len(partial.cells) < 6 or partial.errors
 
 
-@pytest.mark.skipif(
-    not fork_available(), reason="fork executor needs POSIX"
-)
-def test_forked_campaign_byte_identical_to_serial():
-    serial = run_campaign(_spec())
-    forked = run_campaign(_spec(), workers=3)
-    assert serial.to_json_str() == forked.to_json_str()
-
-
-@pytest.mark.skipif(
-    not fork_available(), reason="fork executor needs POSIX"
-)
-def test_supervised_archived_parity_serial_vs_forked(tmp_path):
+def test_supervised_archived_campaign_is_repeatable(tmp_path):
     a1 = Archive(tmp_path / "a1")
     a2 = Archive(tmp_path / "a2")
     s1 = run_campaign(
         _spec(), supervisor=Supervisor(timeout=120.0), archive=a1
     )
     s2 = run_campaign(
-        _spec(),
-        supervisor=Supervisor(timeout=120.0),
-        archive=a2,
-        workers=3,
+        _spec(), supervisor=Supervisor(timeout=120.0), archive=a2
     )
     assert s1.to_json_str() == s2.to_json_str()
     assert a1.store.load_manifest() == a2.store.load_manifest()
@@ -149,20 +133,4 @@ def test_resume_is_byte_identical(tmp_path):
     resumed_sup = Supervisor(checkpoint=str(checkpoint))
     resumed = run_campaign(spec, supervisor=resumed_sup)
     assert resumed_sup.completed_keys
-    assert resumed.to_json_str() == baseline.to_json_str()
-
-
-@pytest.mark.skipif(
-    not fork_available(), reason="fork executor needs POSIX"
-)
-def test_resume_crosses_executors(tmp_path):
-    spec = _spec(scenarios=8)
-    baseline = run_campaign(spec)
-    checkpoint = tmp_path / "cells.ckpt"
-    run_campaign(spec, supervisor=Supervisor(checkpoint=str(checkpoint)))
-    resumed = run_campaign(
-        spec,
-        supervisor=Supervisor(checkpoint=str(checkpoint)),
-        workers=3,
-    )
     assert resumed.to_json_str() == baseline.to_json_str()

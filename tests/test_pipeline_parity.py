@@ -5,7 +5,7 @@ run on one grid executor and one cell body.  These digests were
 recorded before those were unified, from the three separate pipelines
 they replaced, and pin the artifacts each sweep writes: robustness
 JSON, campaign JSON, archive manifests, matrix rows and a checkpoint
-journal.  Serial and forked runs must both reproduce them.
+journal.
 
 Regenerate (only after an intended format change) with::
 
@@ -28,7 +28,6 @@ from repro.faults import FaultPlan
 from repro.resilience import CheckpointJournal, Supervisor
 from repro.synth import CampaignSpec, NoiseConfig, run_campaign
 from repro.validation import run_robustness, run_validation_matrix
-from repro.work.forkexec import fork_available
 
 PROGRAMS = ("late_sender", "balanced_sendrecv")
 
@@ -75,7 +74,7 @@ def _specs():
     return [get_property(name) for name in PROGRAMS]
 
 
-def _robustness(families, workers=1, supervisor=None):
+def _robustness(families, supervisor=None):
     return run_robustness(
         specs=_specs(),
         magnitudes=(0.0, 1.0),
@@ -85,7 +84,6 @@ def _robustness(families, workers=1, supervisor=None):
         num_threads=2,
         families=families,
         supervisor=supervisor,
-        workers=workers,
     )
 
 
@@ -107,24 +105,20 @@ def _campaign_spec(strategy):
 
 
 def _journal_digests(out: dict, name: str, path: Path, **journal) -> None:
-    """Pin a journal by its raw bytes and by its loaded records.
-
-    Serial runs append in grid order, forked runs in completion order,
-    so only the loaded records are executor-independent.
-    """
+    """Pin a journal by its raw bytes and by its loaded records."""
     out[f"{name}-raw"] = _sha(path.read_bytes())
     records = CheckpointJournal(path, **journal).load()
     out[name] = _sha(json.dumps(records, sort_keys=True))
 
 
-def artifacts(workers: int = 1) -> dict:
-    """Digest of every pinned artifact, run with ``workers`` processes."""
+def artifacts() -> dict:
+    """Digest of every pinned artifact."""
     out = {}
     out["robustness-rule"] = _sha(
-        _robustness(("rule",), workers).to_json_str()
+        _robustness(("rule",)).to_json_str()
     )
     out["robustness-rule-similarity"] = _sha(
-        _robustness(("rule", "similarity"), workers).to_json_str()
+        _robustness(("rule", "similarity")).to_json_str()
     )
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
@@ -133,7 +127,6 @@ def artifacts(workers: int = 1) -> dict:
             result = run_campaign(
                 _campaign_spec(strategy),
                 archive=Archive(root),
-                workers=workers,
             )
             out[f"campaign-{strategy}"] = _sha(result.to_json_str())
             _journal_digests(
@@ -142,12 +135,12 @@ def artifacts(workers: int = 1) -> dict:
             )
         # an impossible time budget turns every cell into an error cell
         failed = run_campaign(
-            _campaign_spec("grid"), time_budget=1e-9, workers=workers
+            _campaign_spec("grid"), time_budget=1e-9
         )
         out["campaign-errors"] = _sha(failed.to_json_str())
         matrix = run_validation_matrix(
             specs=_specs(), size=4, num_threads=2,
-            archive=Archive(tmp / "matrix"), workers=workers,
+            archive=Archive(tmp / "matrix"),
         )
         out["matrix"] = _sha(
             json.dumps([row.to_dict() for row in matrix.rows], indent=2)
@@ -158,7 +151,7 @@ def artifacts(workers: int = 1) -> dict:
         )
         journal = tmp / "ck.jsonl"
         supervisor = Supervisor(checkpoint=journal)
-        _robustness(("rule",), workers, supervisor=supervisor)
+        _robustness(("rule",), supervisor=supervisor)
         supervisor.close()
         _journal_digests(out, "robustness-journal", journal)
     return out
@@ -166,22 +159,12 @@ def artifacts(workers: int = 1) -> dict:
 
 @pytest.fixture(scope="module")
 def serial():
-    return artifacts(workers=1)
+    return artifacts()
 
 
 @pytest.mark.parametrize("name", sorted(EXPECTED))
 def test_serial_artifact_matches_pinned_digest(serial, name):
     assert serial[name] == EXPECTED[name]
-
-
-@pytest.mark.skipif(
-    not fork_available(), reason="fork executor needs POSIX"
-)
-def test_forked_artifacts_match_pinned_digests():
-    forked = artifacts(workers=2)
-    assert {k: v for k, v in forked.items() if not k.endswith("-raw")} == {
-        k: v for k, v in EXPECTED.items() if not k.endswith("-raw")
-    }
 
 
 if __name__ == "__main__":

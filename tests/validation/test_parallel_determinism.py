@@ -1,10 +1,9 @@
-"""Parallel sweeps must be byte-identical to the serial path.
+"""Sweeps must be byte-identical from run to run.
 
-The fork-per-cell executor (``workers > 1``) changes *when* cells run,
-never *what* they produce: robustness JSON and matrix rows must match
-the serial artifacts byte for byte at any worker count, supervised or
-not, and checkpoint journals written by either path must resume under
-the other.
+Cells run serially in grid order, so robustness JSON, matrix rows,
+checkpoint journals and archive manifests are pure functions of the
+sweep's arguments: two runs agree byte for byte, supervised or not, and
+a journal resumes to the artifact an uninterrupted sweep writes.
 """
 
 import json
@@ -15,50 +14,40 @@ from repro.archive import Archive
 from repro.core import get_property
 from repro.resilience import Supervisor
 from repro.validation import run_robustness, run_validation_matrix
-from repro.work.forkexec import fork_available
-
-pytestmark = pytest.mark.skipif(
-    not fork_available(), reason="fork executor needs POSIX"
-)
 
 SPECS = ("imbalance_at_mpi_barrier", "balanced_mpi_barrier")
 MAGNITUDES = (0.0, 0.7)
 SEEDS = (0, 1)
 
 
-def _specs():
-    return [get_property(name) for name in SPECS]
+def _specs(count=len(SPECS)):
+    return [get_property(name) for name in SPECS[:count]]
 
 
-def _robustness(workers, supervisor=None, archive=None):
+def _robustness(supervisor=None, archive=None, specs=len(SPECS)):
     return run_robustness(
-        specs=_specs(),
+        specs=_specs(specs),
         magnitudes=MAGNITUDES,
         seeds=SEEDS,
         size=6,
         num_threads=2,
         supervisor=supervisor,
         archive=archive,
-        workers=workers,
     )
 
 
-@pytest.mark.parametrize("workers", [2, 3])
-def test_robustness_json_byte_identical(workers):
-    serial = _robustness(workers=1).to_json_str()
-    parallel = _robustness(workers=workers).to_json_str()
-    assert parallel == serial
+@pytest.mark.parametrize("runs", [2, 3])
+def test_robustness_json_byte_identical(runs):
+    first = _robustness().to_json_str()
+    for _ in range(runs - 1):
+        assert _robustness().to_json_str() == first
 
 
-def test_matrix_rows_identical_across_workers():
-    serial = run_validation_matrix(
-        specs=_specs(), size=6, num_threads=2, workers=1
-    )
-    parallel = run_validation_matrix(
-        specs=_specs(), size=6, num_threads=2, workers=3
-    )
-    assert [r.to_dict() for r in parallel.rows] == [
-        r.to_dict() for r in serial.rows
+def test_matrix_rows_identical_across_runs():
+    first = run_validation_matrix(specs=_specs(), size=6, num_threads=2)
+    second = run_validation_matrix(specs=_specs(), size=6, num_threads=2)
+    assert [r.to_dict() for r in second.rows] == [
+        r.to_dict() for r in first.rows
     ]
 
 
@@ -70,12 +59,12 @@ def _journal_payloads(path):
     return entries
 
 
-def _supervised_campaign(root, workers):
+def _supervised_campaign(root):
     """Checkpointed, archived robustness sweep; returns its artifacts."""
     checkpoint = root / "sweep.ckpt"
     sup = Supervisor(checkpoint=checkpoint)
     archive = Archive(root / "archive")
-    result = _robustness(workers=workers, supervisor=sup, archive=archive)
+    result = _robustness(supervisor=sup, archive=archive)
     sup.close()
     return (
         result.to_json_str(),
@@ -85,26 +74,52 @@ def _supervised_campaign(root, workers):
 
 
 def test_supervised_archived_campaign_parity(tmp_path):
-    serial = _supervised_campaign(tmp_path / "serial", workers=1)
-    forked = _supervised_campaign(tmp_path / "forked", workers=2)
-    assert forked[0] == serial[0]  # robustness JSON
-    assert forked[1] == serial[1]  # checkpoint journal payloads
-    assert forked[2] == serial[2]  # archive manifest records
+    first = _supervised_campaign(tmp_path / "first")
+    second = _supervised_campaign(tmp_path / "second")
+    assert second[0] == first[0]  # robustness JSON
+    assert second[1] == first[1]  # checkpoint journal payloads
+    assert second[2] == first[2]  # archive manifest records
 
 
-@pytest.mark.parametrize(
-    "first_workers,resume_workers", [(1, 2), (2, 1)]
-)
-def test_checkpoints_resume_across_executors(
-    tmp_path, first_workers, resume_workers
-):
-    """A journal written by one executor resumes under the other."""
-    checkpoint = tmp_path / "cross.ckpt"
+def test_checkpoint_resume_byte_identical(tmp_path):
+    """A journaled sweep resumes to the artifact it first wrote."""
+    checkpoint = tmp_path / "sweep.ckpt"
     sup = Supervisor(checkpoint=checkpoint)
-    first = _robustness(workers=first_workers, supervisor=sup)
+    first = _robustness(supervisor=sup)
     sup.close()
 
     sup2 = Supervisor(checkpoint=checkpoint)
-    resumed = _robustness(workers=resume_workers, supervisor=sup2)
+    resumed = _robustness(supervisor=sup2)
     sup2.close()
+    assert sup2.completed_keys
     assert resumed.to_json_str() == first.to_json_str()
+
+
+@pytest.mark.parametrize("first_specs,resume_specs", [(1, 2), (2, 1)])
+def test_checkpoints_resume_across_executors(
+    tmp_path, first_specs, resume_specs
+):
+    """A journal written under one supervisor resumes under another.
+
+    The two supervised sweeps differ in shape: (1, 2) replays the first
+    spec's cells and executes only the second spec's; (2, 1) replays a
+    subset of a larger journal.  Either way the result is byte-identical
+    to an uninterrupted sweep of the resumed shape.
+    """
+    checkpoint = tmp_path / "cross.ckpt"
+    sup = Supervisor(checkpoint=checkpoint)
+    _robustness(supervisor=sup, specs=first_specs)
+    sup.close()
+
+    events = []
+    sup2 = Supervisor(checkpoint=checkpoint, on_event=events.append)
+    resumed = _robustness(supervisor=sup2, specs=resume_specs)
+    sup2.close()
+
+    fresh = _robustness(specs=resume_specs)
+    assert resumed.to_json_str() == fresh.to_json_str()
+    replayed = [e for e in events if e["event"] == "cell-resumed"]
+    executed = [e for e in events if e["event"] == "cell-done"]
+    per_spec = len(fresh.cells) // resume_specs
+    assert len(replayed) == per_spec * min(first_specs, resume_specs)
+    assert len(executed) == len(fresh.cells) - len(replayed)
